@@ -14,12 +14,9 @@ type (
 	// serve layer's store interface: set it as ServeOptions.Store to wire
 	// it under the LRU as a read-through/write-behind second tier.
 	ResultStore = store.Store
-	// ResultStoreOptions configures a ResultStore; the zero value uses the
-	// full in-memory index and default segment/bloom sizing.
+	// ResultStoreOptions configures a ResultStore; the zero value uses
+	// default segment/bloom sizing on the real OS filesystem.
 	ResultStoreOptions = store.Options
-	// ResultStoreLayout selects the in-memory index layout:
-	// ResultStoreIndexFull or ResultStoreIndexSparse.
-	ResultStoreLayout = store.Layout
 	// ResultStoreStats is a point-in-time snapshot of store state and
 	// counters (keys, segments, recovered bytes, bloom negatives, reads,
 	// health transitions and quarantined records).
@@ -43,14 +40,6 @@ type (
 	// ResultStoreFaultFS wraps a ResultStoreFS in the fault injector; every
 	// decision flows from the spec seed, so fault schedules replay exactly.
 	ResultStoreFaultFS = store.FaultFS
-)
-
-// Index layouts for ResultStoreOptions.Layout: the exact key map (zero
-// false positives, more memory) and the fingerprint map (compact, rare
-// extra disk probes). Both serve identical bytes.
-const (
-	ResultStoreIndexFull   = store.IndexFull
-	ResultStoreIndexSparse = store.IndexSparse
 )
 
 // Health states for ResultStoreHealth: the store recovers upward only

@@ -101,7 +101,7 @@ func Parse(spec string) (Spec, error) {
 	}
 	prob := func(field, v string) (float64, error) {
 		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // the negated form rejects NaN
 			return 0, fmt.Errorf("faults: %s probability %q not in [0, 1]", field, v)
 		}
 		return p, nil

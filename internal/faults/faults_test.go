@@ -34,18 +34,21 @@ func counterValue(t *testing.T, reg *obs.Metrics, name string) int64 {
 	return 0
 }
 
+// goodSpecs are canonical specs: each parses and renders back unchanged.
+// They also seed FuzzParse.
+var goodSpecs = []string{
+	"seed=7",
+	"seed=7,latency=0.3:5ms",
+	"seed=1,reject=0.2:503",
+	"seed=1,reject=0.2:503:1",
+	"seed=1,reject=0.5:429:2",
+	"seed=9,drop=0.1",
+	"seed=9,truncate=0.25",
+	"seed=42,latency=0.3:5ms,reject=0.2:503:1,drop=0.1,truncate=0.1",
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []string{
-		"seed=7",
-		"seed=7,latency=0.3:5ms",
-		"seed=1,reject=0.2:503",
-		"seed=1,reject=0.2:503:1",
-		"seed=1,reject=0.5:429:2",
-		"seed=9,drop=0.1",
-		"seed=9,truncate=0.25",
-		"seed=42,latency=0.3:5ms,reject=0.2:503:1,drop=0.1,truncate=0.1",
-	}
-	for _, in := range cases {
+	for _, in := range goodSpecs {
 		s, err := Parse(in)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", in, err)
@@ -69,6 +72,7 @@ func TestParseErrors(t *testing.T) {
 		"reject=0.5:503:-1", // negative retry-after
 		"drop=2",            // probability out of range
 		"truncate=nope",     // not a number
+		"seed=1,drop=NaN",   // NaN passes neither bound
 		"seed=1,flakes=0.5", // unknown field
 	}
 	for _, in := range cases {
@@ -76,6 +80,29 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q): want error", in)
 		}
 	}
+}
+
+// FuzzParse checks that Parse never panics and that the canonical form is a
+// fixed point: whatever Parse accepts renders to a String that Parse
+// accepts again and renders identically.
+func FuzzParse(f *testing.F) {
+	for _, in := range goodSpecs {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(in)
+		if err != nil {
+			return
+		}
+		canon := s.String()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String %q is rejected: %v", in, canon, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("Parse(%q).String() = %q, re-parsed renders %q", in, canon, got)
+		}
+	})
 }
 
 // TestDeterministicDecisionStream pins the core guarantee: two injectors

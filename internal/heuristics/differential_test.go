@@ -11,7 +11,7 @@ import (
 )
 
 // Differential suite: the incremental completion-time kernel (kernel.go)
-// must be *bit-identical* to the seed implementations kept in reference.go —
+// must be *bit-identical* to the seed implementations in reference_test.go —
 // the same mapping (exact Equal, not approx) on every instance, for every
 // tie-break policy, because the candidate sets presented to the policy must
 // match element for element. Instances deliberately mix tie-free float

@@ -1,7 +1,5 @@
 package store
 
-import "hash/fnv"
-
 // bloom is a fixed-size bloom filter over keys. It exists so that a Get for
 // a key the store has never seen costs zero disk reads and zero index
 // probes: the common cold-start case is "the LRU missed and the disk has
@@ -81,14 +79,4 @@ func (b *bloom) maybe(key string) bool {
 		}
 	}
 	return true
-}
-
-// fingerprint is the 64-bit key fingerprint used by the sparse index
-// layout. FNV-1a, like the filter's first hash — but kept as a separate
-// named function because the two uses may diverge (the index needs exactly
-// one well-distributed word; the filter needs two).
-func fingerprint(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
 }

@@ -7,8 +7,15 @@ import (
 	"testing"
 )
 
+// goodFaultSpecs are specs ParseFaultSpec accepts; they seed
+// FuzzParseFaultSpec.
+var goodFaultSpecs = []string{
+	"seed=7,readerr=0.5,writeerr=0.25,syncerr=0.1,shortwrite=0.2,enospc=4096",
+	"readerr=0.5",
+}
+
 func TestParseFaultSpec(t *testing.T) {
-	spec, err := ParseFaultSpec("seed=7,readerr=0.5,writeerr=0.25,syncerr=0.1,shortwrite=0.2,enospc=4096")
+	spec, err := ParseFaultSpec(goodFaultSpecs[0])
 	if err != nil {
 		t.Fatalf("ParseFaultSpec: %v", err)
 	}
@@ -22,13 +29,14 @@ func TestParseFaultSpec(t *testing.T) {
 	if err != nil || again != spec {
 		t.Fatalf("round trip: %+v err=%v", again, err)
 	}
-	if _, err := ParseFaultSpec("readerr=0.5"); err != nil {
+	if _, err := ParseFaultSpec(goodFaultSpecs[1]); err != nil {
 		t.Fatalf("seedless spec should parse (seed 0 is valid): %v", err)
 	}
 	for _, bad := range []string{
 		"",
 		"readerr=1.5,seed=1",   // probability out of range
 		"readerr=-0.1",         // negative probability
+		"seed=1,readerr=nan",   // NaN passes neither bound
 		"bogus=1",              // unknown field
 		"seed",                 // not key=value
 		"seed=abc",             // malformed seed
@@ -39,6 +47,29 @@ func TestParseFaultSpec(t *testing.T) {
 			t.Fatalf("ParseFaultSpec(%q): expected error", bad)
 		}
 	}
+}
+
+// FuzzParseFaultSpec checks that ParseFaultSpec never panics and that the
+// canonical form is a fixed point: whatever it accepts renders to a String
+// that it accepts again and renders identically.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, in := range goodFaultSpecs {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseFaultSpec(in)
+		if err != nil {
+			return
+		}
+		canon := s.String()
+		again, err := ParseFaultSpec(canon)
+		if err != nil {
+			t.Fatalf("ParseFaultSpec(%q) accepted, but its String %q is rejected: %v", in, canon, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("ParseFaultSpec(%q).String() = %q, re-parsed renders %q", in, canon, got)
+		}
+	})
 }
 
 // TestFaultFSDeterministic proves the headline property: the same spec

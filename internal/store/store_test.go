@@ -10,72 +10,62 @@ import (
 	"repro/internal/rng"
 )
 
-var layouts = []struct {
-	name string
-	l    Layout
-}{
-	{"full", IndexFull},
-	{"sparse", IndexSparse},
-}
-
 func testBody(i int) []byte {
 	return []byte(fmt.Sprintf(`{"schema":"test","seq":%d,"payload":"%032d"}`, i, i))
 }
 
+// Layout-sensitive tests run as a "full" subtest, naming the store's one
+// index layout: every live key is held in the in-memory index.
 func testKey(i int) string { return fmt.Sprintf("key-%04d-%032d", i, i*i) }
 
 func TestRoundTrip(t *testing.T) {
-	for _, lt := range layouts {
-		t.Run(lt.name, func(t *testing.T) {
-			st, err := Open(t.TempDir(), Options{Layout: lt.l})
-			if err != nil {
-				t.Fatalf("Open: %v", err)
+	t.Run("full", func(t *testing.T) {
+		st, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer st.Close()
+		for i := 0; i < 50; i++ {
+			if err := st.Put(testKey(i), testBody(i)); err != nil {
+				t.Fatalf("Put(%d): %v", i, err)
 			}
-			defer st.Close()
-			for i := 0; i < 50; i++ {
-				if err := st.Put(testKey(i), testBody(i)); err != nil {
-					t.Fatalf("Put(%d): %v", i, err)
-				}
+		}
+		if st.Len() != 50 {
+			t.Fatalf("Len = %d, want 50", st.Len())
+		}
+		for i := 0; i < 50; i++ {
+			body, ok, err := st.Get(testKey(i))
+			if err != nil || !ok {
+				t.Fatalf("Get(%d): ok=%v err=%v", i, ok, err)
 			}
-			if st.Len() != 50 {
-				t.Fatalf("Len = %d, want 50", st.Len())
+			if !bytes.Equal(body, testBody(i)) {
+				t.Fatalf("Get(%d): body mismatch", i)
 			}
-			for i := 0; i < 50; i++ {
-				body, ok, err := st.Get(testKey(i))
-				if err != nil || !ok {
-					t.Fatalf("Get(%d): ok=%v err=%v", i, ok, err)
-				}
-				if !bytes.Equal(body, testBody(i)) {
-					t.Fatalf("Get(%d): body mismatch", i)
-				}
-			}
-			if _, ok, err := st.Get("never-stored"); ok || err != nil {
-				t.Fatalf("Get(absent): ok=%v err=%v", ok, err)
-			}
-		})
-	}
+		}
+		if _, ok, err := st.Get("never-stored"); ok || err != nil {
+			t.Fatalf("Get(absent): ok=%v err=%v", ok, err)
+		}
+	})
 }
 
 func TestDuplicatePutSkipped(t *testing.T) {
-	for _, lt := range layouts {
-		t.Run(lt.name, func(t *testing.T) {
-			st, err := Open(t.TempDir(), Options{Layout: lt.l})
-			if err != nil {
-				t.Fatalf("Open: %v", err)
+	t.Run("full", func(t *testing.T) {
+		st, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer st.Close()
+		body := testBody(1)
+		for i := 0; i < 5; i++ {
+			if err := st.Put("dup", body); err != nil {
+				t.Fatalf("Put: %v", err)
 			}
-			defer st.Close()
-			body := testBody(1)
-			for i := 0; i < 5; i++ {
-				if err := st.Put("dup", body); err != nil {
-					t.Fatalf("Put: %v", err)
-				}
-			}
-			stats := st.Stats()
-			if stats.Puts != 1 || stats.DupPuts != 4 || stats.Keys != 1 {
-				t.Fatalf("stats = %+v, want 1 put, 4 dups, 1 key", stats)
-			}
-		})
-	}
+		}
+		stats := st.Stats()
+		if stats.Puts != 1 || stats.DupPuts != 4 || stats.Keys != 1 {
+			t.Fatalf("stats = %+v, want 1 put, 4 dups, 1 key", stats)
+		}
+	})
 }
 
 func TestSegmentRotation(t *testing.T) {
@@ -113,7 +103,7 @@ func TestSegmentRotation(t *testing.T) {
 }
 
 func TestBloomNegativesSkipDisk(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{Layout: IndexSparse})
+	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -143,49 +133,47 @@ func TestBloomNegativesSkipDisk(t *testing.T) {
 }
 
 func TestTornTailTruncated(t *testing.T) {
-	for _, lt := range layouts {
-		t.Run(lt.name, func(t *testing.T) {
-			dir := t.TempDir()
-			st, err := Open(dir, Options{Layout: lt.l})
-			if err != nil {
-				t.Fatalf("Open: %v", err)
+	t.Run("full", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := st.Put(testKey(i), testBody(i)); err != nil {
+				t.Fatalf("Put: %v", err)
 			}
-			for i := 0; i < 8; i++ {
-				if err := st.Put(testKey(i), testBody(i)); err != nil {
-					t.Fatalf("Put: %v", err)
-				}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		const garbage = 37
+		if err := InjectTornTail(dir, garbage); err != nil {
+			t.Fatalf("InjectTornTail: %v", err)
+		}
+		st, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer st.Close()
+		if got := st.Stats().RecoveredBytes; got != garbage {
+			t.Fatalf("RecoveredBytes = %d, want %d", got, garbage)
+		}
+		if st.Len() != 8 {
+			t.Fatalf("Len = %d, want 8 surviving keys", st.Len())
+		}
+		for i := 0; i < 8; i++ {
+			body, ok, err := st.Get(testKey(i))
+			if err != nil || !ok || !bytes.Equal(body, testBody(i)) {
+				t.Fatalf("Get(%d) after torn-tail recovery: ok=%v err=%v", i, ok, err)
 			}
-			if err := st.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			const garbage = 37
-			if err := InjectTornTail(dir, garbage); err != nil {
-				t.Fatalf("InjectTornTail: %v", err)
-			}
-			st, err = Open(dir, Options{Layout: lt.l})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer st.Close()
-			if got := st.Stats().RecoveredBytes; got != garbage {
-				t.Fatalf("RecoveredBytes = %d, want %d", got, garbage)
-			}
-			if st.Len() != 8 {
-				t.Fatalf("Len = %d, want 8 surviving keys", st.Len())
-			}
-			for i := 0; i < 8; i++ {
-				body, ok, err := st.Get(testKey(i))
-				if err != nil || !ok || !bytes.Equal(body, testBody(i)) {
-					t.Fatalf("Get(%d) after torn-tail recovery: ok=%v err=%v", i, ok, err)
-				}
-			}
-			// The store must stay appendable after recovery: a put lands in
-			// the truncated segment and survives another cycle.
-			if err := st.Put(testKey(99), testBody(99)); err != nil {
-				t.Fatalf("Put after recovery: %v", err)
-			}
-		})
-	}
+		}
+		// The store must stay appendable after recovery: a put lands in
+		// the truncated segment and survives another cycle.
+		if err := st.Put(testKey(99), testBody(99)); err != nil {
+			t.Fatalf("Put after recovery: %v", err)
+		}
+	})
 }
 
 func TestEmptyKeyRejected(t *testing.T) {
@@ -240,74 +228,72 @@ func TestRecoveryProperty(t *testing.T) {
 	}
 	total := off
 
-	for _, lt := range layouts {
-		for _, seed := range []uint64{1, 2, 3, 17, 99} {
-			t.Run(fmt.Sprintf("%s/seed=%d", lt.name, seed), func(t *testing.T) {
-				r := rng.New(seed)
-				for trial := 0; trial < 20; trial++ {
-					dir := t.TempDir()
-					st, err := Open(dir, Options{Layout: lt.l})
-					if err != nil {
-						t.Fatalf("Open: %v", err)
-					}
-					for i := 0; i < records; i++ {
-						if err := st.Put(testKey(i), testBody(i)); err != nil {
-							t.Fatalf("Put: %v", err)
-						}
-					}
-					if err := st.Close(); err != nil {
-						t.Fatalf("Close: %v", err)
-					}
-
-					seg := filepath.Join(dir, segName(0))
-					var cut int64
-					switch mode := r.Intn(4); mode {
-					case 0: // anywhere, usually mid-record
-						cut = int64(r.Intn(int(total)))
-					case 1: // mid-header of a seeded record
-						cut = ends[r.Intn(records-1)] + int64(r.Intn(recordHeaderLen))
-					case 2: // exactly on a record boundary
-						cut = ends[r.Intn(records)]
-					case 3: // clean file, garbage appended after the sync
-						cut = total
-					}
-					if cut < total {
-						if err := os.Truncate(seg, cut); err != nil {
-							t.Fatalf("truncate: %v", err)
-						}
-					} else if err := InjectTornTail(dir, 1+r.Intn(64)); err != nil {
-						t.Fatalf("InjectTornTail: %v", err)
-					}
-
-					st, err = Open(dir, Options{Layout: lt.l})
-					if err != nil {
-						t.Fatalf("reopen after cut at %d: %v", cut, err)
-					}
-					survivors := 0
-					for i := 0; i < records; i++ {
-						wantOK := ends[i] <= cut
-						body, ok, err := st.Get(testKey(i))
-						if err != nil {
-							t.Fatalf("Get(%d) after cut at %d: %v", i, cut, err)
-						}
-						if ok != wantOK {
-							t.Fatalf("Get(%d) after cut at %d: ok=%v, want %v", i, cut, ok, wantOK)
-						}
-						if ok {
-							survivors++
-							if !bytes.Equal(body, testBody(i)) {
-								t.Fatalf("Get(%d) after cut at %d: body not byte-identical", i, cut)
-							}
-						}
-					}
-					if st.Len() != survivors {
-						t.Fatalf("Len = %d, want %d survivors at cut %d", st.Len(), survivors, cut)
-					}
-					if err := st.Close(); err != nil {
-						t.Fatalf("Close after recovery: %v", err)
+	for _, seed := range []uint64{1, 2, 3, 17, 99} {
+		t.Run(fmt.Sprintf("full/seed=%d", seed), func(t *testing.T) {
+			r := rng.New(seed)
+			for trial := 0; trial < 20; trial++ {
+				dir := t.TempDir()
+				st, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				for i := 0; i < records; i++ {
+					if err := st.Put(testKey(i), testBody(i)); err != nil {
+						t.Fatalf("Put: %v", err)
 					}
 				}
-			})
-		}
+				if err := st.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+
+				seg := filepath.Join(dir, segName(0))
+				var cut int64
+				switch mode := r.Intn(4); mode {
+				case 0: // anywhere, usually mid-record
+					cut = int64(r.Intn(int(total)))
+				case 1: // mid-header of a seeded record
+					cut = ends[r.Intn(records-1)] + int64(r.Intn(recordHeaderLen))
+				case 2: // exactly on a record boundary
+					cut = ends[r.Intn(records)]
+				case 3: // clean file, garbage appended after the sync
+					cut = total
+				}
+				if cut < total {
+					if err := os.Truncate(seg, cut); err != nil {
+						t.Fatalf("truncate: %v", err)
+					}
+				} else if err := InjectTornTail(dir, 1+r.Intn(64)); err != nil {
+					t.Fatalf("InjectTornTail: %v", err)
+				}
+
+				st, err = Open(dir, Options{})
+				if err != nil {
+					t.Fatalf("reopen after cut at %d: %v", cut, err)
+				}
+				survivors := 0
+				for i := 0; i < records; i++ {
+					wantOK := ends[i] <= cut
+					body, ok, err := st.Get(testKey(i))
+					if err != nil {
+						t.Fatalf("Get(%d) after cut at %d: %v", i, cut, err)
+					}
+					if ok != wantOK {
+						t.Fatalf("Get(%d) after cut at %d: ok=%v, want %v", i, cut, ok, wantOK)
+					}
+					if ok {
+						survivors++
+						if !bytes.Equal(body, testBody(i)) {
+							t.Fatalf("Get(%d) after cut at %d: body not byte-identical", i, cut)
+						}
+					}
+				}
+				if st.Len() != survivors {
+					t.Fatalf("Len = %d, want %d survivors at cut %d", st.Len(), survivors, cut)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatalf("Close after recovery: %v", err)
+				}
+			}
+		})
 	}
 }

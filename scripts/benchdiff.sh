@@ -21,7 +21,7 @@ cd "$(dirname "$0")/.."
 
 file="${1:-BENCH_1.json}"
 threshold="${THRESHOLD:-20}"
-pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|ParallelKernel|Serve|Store}"
+pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|Serve|Store}"
 
 if [ ! -f "$file" ]; then
     echo "benchdiff: $file not found" >&2

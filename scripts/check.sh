@@ -2,16 +2,16 @@
 # The full repository gate in one command — CI and builders run the same
 # thing (see CLAUDE.md):
 #
-#   gofmt clean, go vet, build, full test suite, paper self-check, the
-#   schedd serving smoke (ephemeral port, pinned Table-1 trace, cache
-#   byte-identity, span-tree trace leg, fault-injected recovery, panic
-#   isolation, chaos leg, kill/restart disk-tier recovery, graceful
-#   drain), the schedgw cluster smoke (3 local backends,
-#   cluster-vs-singleton byte-identity, batch split/merge,
-#   kill/failover/revive, cluster chaos, drain), the schedchaos scenario
-#   sweep (every builtin phased fault scenario — single-instance,
-#   cluster, restart-recovery and the disk-tier fault/full arcs — every
-#   invariant) and the tracing legs
+#   gofmt clean, go vet, build, full test suite, fault-spec fuzz runs,
+#   paper self-check, the schedd serving smoke (ephemeral port, pinned
+#   Table-1 trace, cache byte-identity, span-tree trace leg,
+#   fault-injected recovery, panic isolation, chaos leg, kill/restart
+#   disk-tier recovery, graceful drain), the schedgw cluster smoke (3
+#   local backends, cluster-vs-singleton byte-identity, batch
+#   split/merge, kill/failover/revive, cluster chaos, drain), the
+#   schedchaos scenario sweep (every builtin phased fault scenario —
+#   single-instance, cluster, restart-recovery and the disk-tier
+#   fault/full arcs — every invariant) and the tracing legs
 #   (schedd/schedgw -trace-out span streams analyzed by schedtrace
 #   -counts, pinned against scripts/testdata/trace_counts.golden and
 #   gateway_trace_counts.golden). The -race leg covers internal/serve's
@@ -40,6 +40,13 @@ echo "[ok  ] go test"
 
 go test -race ./internal/... ./cmd/...
 echo "[ok  ] go test -race (internal + cmd)"
+
+# Short fuzz runs over the two fault-spec grammars: no panics, and the
+# canonical String of any accepted spec re-parses to itself. go test -fuzz
+# takes one package and one target per run.
+go test ./internal/faults -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s
+go test ./internal/store -run '^$' -fuzz '^FuzzParseFaultSpec$' -fuzztime 10s
+echo "[ok  ] fuzz: fault-spec grammars round-trip (faults.Parse, store.ParseFaultSpec)"
 
 go run ./cmd/paperrepro
 echo "[ok  ] paperrepro"
