@@ -41,18 +41,12 @@
 // policy and seed give byte-identical bodies, cached or computed. -selfcheck
 // starts the daemon on an ephemeral port, replays the pinned Table-1
 // Min-Min trace over real HTTP (twice: computed, then cached), verifies
-// both bodies bit-for-bit, drives the same item through POST /v1/batch
-// (cached item bytes, isolated per-item 422, byte-identical envelope
-// replay), then replays it through the deterministic fault
-// injector (internal/faults) with the resilient client (internal/client),
-// verifying recovery and byte-identity under injected 503s, dropped
-// connections and truncated bodies, drives a deliberate worker panic and
-// verifies isolation (structured 500, serve.panics_total, cache intact),
-// replays a builtin chaos scenario (internal/chaos) requiring every
-// invariant to hold, proves the disk result tier across a kill/restart
-// (byte-identical X-Schedd-Cache: disk answer, then promotion to a memory
-// hit), drains, and exits 0 — the smoke test run by
-// scripts/check.sh.
+// both bodies bit-for-bit, checks the span trees and /statusz, drives the
+// same item through POST /v1/batch (cached item bytes, isolated per-item
+// 422, byte-identical envelope replay), replays the storm, truncate-flood,
+// breaker-trip, panic-isolation, restart-recovery and disk-fault chaos
+// scenarios (internal/chaos) in-process requiring every invariant to hold,
+// drains, and exits 0 — the smoke test run by scripts/check.sh.
 //
 // -fault-inject is a STAGING flag: it wraps the whole service in the
 // seeded fault injector (spec grammar: seed=N,latency=P:DUR,
@@ -78,7 +72,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/client"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -150,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var faultSpec faults.Spec
 	if *faultInject != "" {
 		if *selfcheck {
-			return usagef("-fault-inject cannot be combined with -selfcheck (the selfcheck runs its own pinned fault leg)")
+			return usagef("-fault-inject cannot be combined with -selfcheck (the selfcheck replays its own fault scenarios in-process)")
 		}
 		var err error
 		faultSpec, err = faults.Parse(*faultInject)
@@ -159,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *storeDir != "" && *selfcheck {
-		return usagef("-store cannot be combined with -selfcheck (the selfcheck runs its own restart-recovery leg on a temporary directory)")
+		return usagef("-store cannot be combined with -selfcheck (the selfcheck replays the restart-recovery and disk-fault scenarios on temporary directories)")
 	}
 	var storeFS store.FS
 	if *storeFaults != "" {
@@ -223,16 +216,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sinks = append(sinks, spanCol)
 	}
 	opts.Tracer = obs.NewTracer(sinks)
-	if *selfcheck {
-		// The selfcheck's panic leg drives a deliberate panic through the
-		// worker pool to prove isolation; the trigger fires only on the chaos
-		// sentinel seed, which scenario validation refuses for real workloads.
-		opts.PanicTrigger = func(seed uint64) {
-			if seed == chaos.PanicSeed {
-				panic("selfcheck: deliberate panic")
-			}
-		}
-	}
 	srv := serve.NewServer(opts)
 
 	if *pprofAddr != "" {
@@ -247,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var err error
 	if *selfcheck {
-		err = selfCheck(srv, spanCol, opts.Tracer, stdout)
+		err = selfCheck(srv, spanCol, stdout)
 	} else {
 		handler := http.Handler(srv.Handler())
 		if *faultInject != "" {
@@ -307,9 +290,9 @@ func serveForever(srv *serve.Server, handler http.Handler, addr string, drainTim
 // selfCheck exercises the whole service end to end over a real TCP
 // listener: the pinned Table-1 Min-Min matrix through /v1/iterate (computed
 // then cached, byte-identical), /healthz, /metricz, the tracing path
-// (spans land in spanCol), and a graceful drain. Everything checked is
-// deterministic; only [ok  ] lines are printed.
-func selfCheck(srv *serve.Server, spanCol *obs.Collector, tracer *obs.Tracer, stdout io.Writer) error {
+// (spans land in spanCol), /v1/batch, the chaos scenarios, and a graceful
+// drain. Everything checked is deterministic; only [ok  ] lines are printed.
+func selfCheck(srv *serve.Server, spanCol *obs.Collector, stdout io.Writer) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -373,26 +356,11 @@ func selfCheck(srv *serve.Server, spanCol *obs.Collector, tracer *obs.Tracer, st
 	}
 	fmt.Fprintln(stdout, "[ok  ] cache hit is byte-identical to the computed response")
 
-	resp, err := http.Get(base + "/metricz")
+	counters, err := counterSnapshot(base)
 	if err != nil {
 		return err
 	}
-	snapBody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(snapBody, &snap); err != nil {
-		return fmt.Errorf("decoding /metricz: %w", err)
-	}
-	hits := int64(-1)
-	for _, c := range snap.Counters {
-		if c.Name == "serve.cache_hits" {
-			hits = c.Value
-		}
-	}
-	if hits != 1 {
+	if hits := counters["serve.cache_hits"]; hits != 1 {
 		return fmt.Errorf("metricz serve.cache_hits = %d, want 1", hits)
 	}
 	fmt.Fprintln(stdout, "[ok  ] metricz reports the cache hit")
@@ -403,19 +371,7 @@ func selfCheck(srv *serve.Server, spanCol *obs.Collector, tracer *obs.Tracer, st
 	if err := batchLeg(base, first, stdout); err != nil {
 		return err
 	}
-	if err := faultLeg(srv, base, first, reqBody, stdout); err != nil {
-		return err
-	}
-	if err := panicLeg(base, first, reqBody, stdout); err != nil {
-		return err
-	}
 	if err := chaosLeg(stdout); err != nil {
-		return err
-	}
-	if err := storeLeg(tracer, stdout); err != nil {
-		return err
-	}
-	if err := degradeLeg(tracer, stdout); err != nil {
 		return err
 	}
 
@@ -645,425 +601,40 @@ func postBatch(base string, body []byte) ([]byte, error) {
 	return respBody, nil
 }
 
-// faultLeg replays the pinned Table-1 request through the deterministic
-// fault injector with the resilient client: injected 503s, dropped
-// connections and truncated bodies must cost retries, never correctness —
-// every recovered body is byte-identical to the cleanly computed one.
-// Injector, server and client share one metrics registry, so the clean
-// listener's /metricz (cleanBase) also proves faults were actually injected
-// and retries actually taken.
-func faultLeg(srv *serve.Server, cleanBase string, want, reqBody []byte, stdout io.Writer) error {
-	spec, err := faults.Parse("seed=5,latency=0.2:2ms,reject=0.25:503:1,drop=0.2,truncate=0.2")
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: faults.New(spec, srv.Handler(), srv.Metrics())}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-
-	cl := client.New(client.Options{
-		MaxRetries:  12,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond, // caps the injector's Retry-After: 1s too
-		Timeout:     2 * time.Second,
-		Seed:        1,
-		// The injector never yields 12 consecutive faults here, but keep the
-		// breaker from fast-failing a replay mid-leg regardless.
-		BreakerThreshold: 1000,
-		Metrics:          srv.Metrics(),
-	})
-	const replays = 16
-	for i := 1; i <= replays; i++ {
-		resp, err := cl.Post(context.Background(), base+"/v1/iterate", reqBody)
-		if err != nil {
-			return fmt.Errorf("fault leg replay %d/%d: %w", i, replays, err)
-		}
-		if !bytes.Equal(resp.Body, want) {
-			return fmt.Errorf("fault leg replay %d/%d: recovered body differs from the clean response", i, replays)
-		}
-	}
-	fmt.Fprintf(stdout, "[ok  ] %d fault-injected replays recovered byte-identical responses\n", replays)
-
-	counters, err := counterSnapshot(cleanBase)
-	if err != nil {
-		return err
-	}
-	for _, name := range []string{
-		"faults.injected_total",
-		"faults.reject_total",
-		"faults.drop_total",
-		"faults.truncate_total",
-		"client.retries_total",
-	} {
-		if counters[name] <= 0 {
-			return fmt.Errorf("/metricz %s = %d, want > 0 (fault leg did not exercise it)", name, counters[name])
-		}
-	}
-	fmt.Fprintf(stdout, "[ok  ] metricz reports %d injected faults (%d rejected, %d dropped, %d truncated) and %d client retries\n",
-		counters["faults.injected_total"], counters["faults.reject_total"],
-		counters["faults.drop_total"], counters["faults.truncate_total"],
-		counters["client.retries_total"])
-
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("fault leg shutdown: %w", err)
-	}
-	return nil
-}
-
-// panicLeg proves worker-level panic isolation on the live daemon: a
-// request carrying the chaos sentinel seed panics inside the worker, the
-// client receives a structured 500 with code "panic" (and no panic detail),
-// serve.panics_total increments, and the daemon keeps serving the pinned
-// Table-1 request byte-identically from cache. Plain http.Post keeps the
-// fault leg's seeded decision streams untouched.
-func panicLeg(base string, want, reqBody []byte, stdout io.Writer) error {
-	panicBody, err := json.Marshal(serve.Request{
-		ETC:       experiments.MinMinExampleETC().Values(),
-		Heuristic: "min-min",
-		Ties:      "det",
-		Seed:      chaos.PanicSeed,
-	})
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/iterate", "application/json", bytes.NewReader(panicBody))
-	if err != nil {
-		return err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusInternalServerError {
-		return fmt.Errorf("panic leg: status %d, want 500: %s", resp.StatusCode, body)
-	}
-	var er serve.ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		return fmt.Errorf("panic leg: decoding error envelope: %w (%s)", err, body)
-	}
-	if er.Error.Code != serve.CodePanic {
-		return fmt.Errorf("panic leg: error code %q, want %q", er.Error.Code, serve.CodePanic)
-	}
-	if strings.Contains(er.Error.Message, "deliberate") {
-		return fmt.Errorf("panic leg: panic detail leaked into the response: %q", er.Error.Message)
-	}
-	counters, err := counterSnapshot(base)
-	if err != nil {
-		return err
-	}
-	if counters["serve.panics_total"] != 1 {
-		return fmt.Errorf("panic leg: serve.panics_total = %d, want 1", counters["serve.panics_total"])
-	}
-	after, hdr, err := postIterate(base, reqBody)
-	if err != nil {
-		return fmt.Errorf("panic leg: pinned request after panic: %w", err)
-	}
-	if hdr != "hit" {
-		return fmt.Errorf("panic leg: post-panic X-Schedd-Cache %q, want hit", hdr)
-	}
-	if !bytes.Equal(after, want) {
-		return fmt.Errorf("panic leg: post-panic cached body differs from the clean response")
-	}
-	fmt.Fprintln(stdout, "[ok  ] deliberate panic isolated: structured 500, panics_total=1, cache intact")
-	return nil
-}
-
-// chaosLeg replays one builtin chaos scenario in-process and requires every
-// harness invariant to hold — the end-to-end hardening smoke.
+// chaosLeg replays the chaos scenarios that carry the daemon's failure
+// story in-process — fault recovery (storm, truncate-flood), the circuit
+// breaker, panic isolation, kill/restart disk-tier recovery and graceful
+// disk degradation — and requires every harness invariant to hold.
 func chaosLeg(stdout io.Writer) error {
-	sc, err := chaos.ByName("breaker-trip")
-	if err != nil {
-		return err
-	}
-	rep, err := chaos.Run(sc)
-	if err != nil {
-		return fmt.Errorf("chaos leg: %w", err)
-	}
-	if !rep.Pass {
-		for _, inv := range rep.Invariants {
-			if !inv.OK {
-				return fmt.Errorf("chaos leg: invariant %s violated: %s", inv.Name, inv.Detail)
-			}
+	for _, run := range []func() (*chaos.Report, error){
+		named("storm", chaos.ByName, chaos.Run),
+		named("truncate-flood", chaos.ByName, chaos.Run),
+		named("breaker-trip", chaos.ByName, chaos.Run),
+		named("panic-isolation", chaos.ByName, chaos.Run),
+		named("restart-recovery", chaos.RestartByName, chaos.RunRestart),
+		named("disk-fault", chaos.DiskByName, chaos.RunDisk),
+	} {
+		rep, err := run()
+		if err == nil {
+			err = rep.Err()
 		}
-		return fmt.Errorf("chaos leg: scenario %s failed", rep.Scenario)
+		if err != nil {
+			return fmt.Errorf("chaos leg: %w", err)
+		}
+		fmt.Fprintf(stdout, "[ok  ] chaos scenario %s: %d invariants hold\n", rep.Scenario, len(rep.Invariants))
 	}
-	fmt.Fprintf(stdout, "[ok  ] chaos scenario %s: %d invariants hold\n", rep.Scenario, len(rep.Invariants))
 	return nil
 }
 
-// storeLeg proves the crash-safe disk result tier across a kill/restart: a
-// dedicated server over a fresh -store directory computes the pinned
-// Table-1 body, shuts down (drain flushes the write-behind queue, the store
-// closes), and a restarted server over the same directory answers the same
-// request byte-identically with X-Schedd-Cache: disk, then serves the
-// repeat as a memory hit (promotion). Both servers share the selfcheck's
-// tracer, so the restart flow's disk_lookup spans land in -trace-out
-// streams and the pinned schedtrace golden.
-func storeLeg(tracer *obs.Tracer, stdout io.Writer) error {
-	dir, err := os.MkdirTemp("", "schedd-selfcheck-store-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	reqBody, err := json.Marshal(serve.Request{
-		ETC:       experiments.MinMinExampleETC().Values(),
-		Heuristic: "min-min",
-		Ties:      "det",
-		Seed:      1,
-	})
-	if err != nil {
-		return err
-	}
-
-	// runServer is one daemon lifetime over the shared store directory:
-	// open the store, serve f's requests, shut down, drain (flushing disk
-	// writes), close the store.
-	runServer := func(f func(base string) error) error {
-		st, err := store.Open(dir, store.Options{})
+// named binds a builtin scenario name to its family's lookup and runner.
+func named[S any](name string, lookup func(string) (S, error), run func(S) (*chaos.Report, error)) func() (*chaos.Report, error) {
+	return func() (*chaos.Report, error) {
+		sc, err := lookup(name)
 		if err != nil {
-			return fmt.Errorf("store leg: %w", err)
+			return nil, err
 		}
-		srv := serve.NewServer(serve.Options{Store: st, Tracer: tracer})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			st.Close()
-			return err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-		ferr := f("http://" + ln.Addr().String())
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil && ferr == nil {
-			ferr = fmt.Errorf("store leg shutdown: %w", err)
-		}
-		if err := srv.Drain(sctx); err != nil && ferr == nil {
-			ferr = fmt.Errorf("store leg drain: %w", err)
-		}
-		if err := st.Close(); err != nil && ferr == nil {
-			ferr = fmt.Errorf("store leg: %w", err)
-		}
-		return ferr
+		return run(sc)
 	}
-
-	var first []byte
-	if err := runServer(func(base string) error {
-		body, hdr, err := postIterate(base, reqBody)
-		if err != nil {
-			return fmt.Errorf("store leg: %w", err)
-		}
-		if hdr != "miss" {
-			return fmt.Errorf("store leg: first request X-Schedd-Cache %q, want miss", hdr)
-		}
-		first = body
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := runServer(func(base string) error {
-		second, hdr, err := postIterate(base, reqBody)
-		if err != nil {
-			return fmt.Errorf("store leg restart: %w", err)
-		}
-		if hdr != "disk" {
-			return fmt.Errorf("store leg: post-restart X-Schedd-Cache %q, want disk", hdr)
-		}
-		if !bytes.Equal(second, first) {
-			return fmt.Errorf("store leg: disk hit differs from the pre-restart body")
-		}
-		third, hdr, err := postIterate(base, reqBody)
-		if err != nil {
-			return fmt.Errorf("store leg repeat: %w", err)
-		}
-		if hdr != "hit" {
-			return fmt.Errorf("store leg: promoted repeat X-Schedd-Cache %q, want hit", hdr)
-		}
-		if !bytes.Equal(third, first) {
-			return fmt.Errorf("store leg: promoted hit differs from the pre-restart body")
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, "[ok  ] restart recovery: disk hit byte-identical across kill/restart, then promoted to a memory hit")
-	return nil
-}
-
-// degradeLeg proves graceful degradation end to end over HTTP: the disk
-// tier sits on a fault filesystem that fails every read while enabled, and
-// the daemon must ride the whole health arc — healthy → offline (read
-// errors) → gated consults → read-probe recovery → degraded → write-probe
-// recovery → healthy — without one client-visible error or changed byte.
-// The LRU is disabled so every request exercises the disk path.
-func degradeLeg(tracer *obs.Tracer, stdout io.Writer) error {
-	dir, err := os.MkdirTemp("", "schedd-selfcheck-degrade-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	// waitFor synchronizes the check with the asynchronous write-behind
-	// goroutine; wall clock shapes only when the leg looks, never behavior.
-	waitFor := func(what string, cond func() bool) error {
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("degrade leg: timed out waiting for %s", what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		return nil
-	}
-	body := func(seed uint64) ([]byte, error) {
-		return json.Marshal(serve.Request{
-			ETC:       experiments.MinMinExampleETC().Values(),
-			Heuristic: "min-min",
-			Ties:      "det",
-			Seed:      seed,
-		})
-	}
-	warmBody, err := body(1)
-	if err != nil {
-		return err
-	}
-
-	ffs := store.NewFaultFS(nil, store.FaultSpec{Seed: 1, ReadErrP: 1})
-	ffs.SetEnabled(false)
-	st, err := store.Open(dir, store.Options{FS: ffs, ProbeAfter: 2})
-	if err != nil {
-		return fmt.Errorf("degrade leg: %w", err)
-	}
-	srv := serve.NewServer(serve.Options{Store: st, CacheEntries: -1, Tracer: tracer})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		st.Close()
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-
-	legErr := func() error {
-		// Healthy: compute, flush behind, serve from disk.
-		first, hdr, err := postIterate(base, warmBody)
-		if err != nil {
-			return fmt.Errorf("degrade leg: %w", err)
-		}
-		if hdr != "miss" {
-			return fmt.Errorf("degrade leg: warm X-Schedd-Cache %q, want miss", hdr)
-		}
-		if err := waitFor("write-behind flush", func() bool { return st.Len() == 1 }); err != nil {
-			return err
-		}
-		if _, hdr, err = postIterate(base, warmBody); err != nil {
-			return fmt.Errorf("degrade leg: %w", err)
-		} else if hdr != "disk" {
-			return fmt.Errorf("degrade leg: healthy repeat X-Schedd-Cache %q, want disk", hdr)
-		}
-
-		// Storm: the read fails, the response falls through to compute
-		// byte-identically, the tier goes offline.
-		ffs.SetEnabled(true)
-		b, hdr, err := postIterate(base, warmBody)
-		if err != nil {
-			return fmt.Errorf("degrade leg: %w", err)
-		}
-		if hdr != "miss" || !bytes.Equal(b, first) {
-			return fmt.Errorf("degrade leg: faulted post cache %q, want byte-identical miss fallthrough", hdr)
-		}
-		if got := st.HealthState(); got != "offline" {
-			return fmt.Errorf("degrade leg: health %q after read storm, want offline", got)
-		}
-		// Offline: the next consult is gated — no disk I/O at all.
-		if b, _, err = postIterate(base, warmBody); err != nil {
-			return fmt.Errorf("degrade leg: %w", err)
-		} else if !bytes.Equal(b, first) {
-			return fmt.Errorf("degrade leg: gated post not byte-identical")
-		}
-
-		// Repaired: the next consult is the read probe (ProbeAfter=2) and
-		// serves the stored body; offline → degraded.
-		ffs.SetEnabled(false)
-		if _, hdr, err = postIterate(base, warmBody); err != nil {
-			return fmt.Errorf("degrade leg: %w", err)
-		} else if hdr != "disk" {
-			return fmt.Errorf("degrade leg: probe post X-Schedd-Cache %q, want disk", hdr)
-		}
-		if got := st.HealthState(); got != "degraded" {
-			return fmt.Errorf("degrade leg: health %q after read probe, want degraded (writes unproven)", got)
-		}
-
-		// Degraded: fresh bodies drive the write-probe ladder; the first
-		// append is dropped (counted) and the probe append recovers the tier.
-		for seed := uint64(2); seed <= 3; seed++ {
-			fresh, err := body(seed)
-			if err != nil {
-				return err
-			}
-			if _, _, err := postIterate(base, fresh); err != nil {
-				return fmt.Errorf("degrade leg: %w", err)
-			}
-		}
-		if err := waitFor("write-probe recovery", func() bool { return st.Health() == store.Healthy }); err != nil {
-			return err
-		}
-
-		counters, err := counterSnapshot(base)
-		if err != nil {
-			return fmt.Errorf("degrade leg: %w", err)
-		}
-		if counters["serve.disk_skipped"] != 1 || counters["serve.disk_write_drops"] < 1 || counters["serve.disk_errors"] < 1 {
-			return fmt.Errorf("degrade leg: counters skipped=%d drops=%d errors=%d, want 1/>=1/>=1",
-				counters["serve.disk_skipped"], counters["serve.disk_write_drops"], counters["serve.disk_errors"])
-		}
-		resp, err := http.Get(base + "/statusz")
-		if err != nil {
-			return err
-		}
-		stBody, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		var status struct {
-			Disk *struct {
-				Health     string `json:"health"`
-				Skipped    int64  `json:"skipped"`
-				WriteDrops int64  `json:"write_drops"`
-			} `json:"disk"`
-		}
-		if err := json.Unmarshal(stBody, &status); err != nil || status.Disk == nil {
-			return fmt.Errorf("degrade leg: statusz disk section missing: %v (%s)", err, stBody)
-		}
-		if status.Disk.Health != "healthy" || status.Disk.Skipped != 1 || status.Disk.WriteDrops < 1 {
-			return fmt.Errorf("degrade leg: statusz disk %+v, want healthy with 1 skipped and >=1 drops", status.Disk)
-		}
-		return nil
-	}()
-
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil && legErr == nil {
-		legErr = fmt.Errorf("degrade leg shutdown: %w", err)
-	}
-	if err := srv.Drain(sctx); err != nil && legErr == nil {
-		legErr = fmt.Errorf("degrade leg drain: %w", err)
-	}
-	if err := st.Close(); err != nil && legErr == nil {
-		legErr = fmt.Errorf("degrade leg: %w", err)
-	}
-	if legErr != nil {
-		return legErr
-	}
-	fmt.Fprintln(stdout, "[ok  ] graceful degradation: offline disk never client-visible — byte-identical fallthrough, gated consults, probe recovery to healthy")
-	fmt.Fprintln(stdout, "[ok  ] statusz reports the disk health arc (healthy, 1 gated consult, counted write drops)")
-	return nil
 }
 
 // counterSnapshot fetches /metricz and indexes the counters by name.

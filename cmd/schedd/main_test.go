@@ -13,8 +13,8 @@ import (
 )
 
 // TestSelfcheck runs the full end-to-end smoke in-process: ephemeral port,
-// pinned Table-1 /v1/iterate trace, byte-identical cache hit, the
-// fault-injected recovery leg, drain.
+// pinned Table-1 /v1/iterate trace, byte-identical cache hit, traces,
+// batch, the in-process chaos scenarios, drain.
 func TestSelfcheck(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-selfcheck"}, &stdout, &stderr); err != nil {
@@ -27,11 +27,12 @@ func TestSelfcheck(t *testing.T) {
 		"[ok  ] metricz reports the cache hit",
 		"[ok  ] every request traced: well-formed span trees, stable key half, header matches a root",
 		"[ok  ] statusz folds the spans into per-stage latency quantiles",
-		"[ok  ] 16 fault-injected replays recovered byte-identical responses",
-		"[ok  ] metricz reports 13 injected faults (3 rejected, 3 dropped, 5 truncated) and 11 client retries",
-		"[ok  ] deliberate panic isolated: structured 500, panics_total=1, cache intact",
-		"[ok  ] chaos scenario breaker-trip: 9 invariants hold",
-		"[ok  ] restart recovery: disk hit byte-identical across kill/restart, then promoted to a memory hit",
+		"[ok  ] chaos scenario storm: 10 invariants hold",
+		"[ok  ] chaos scenario truncate-flood: 10 invariants hold",
+		"[ok  ] chaos scenario breaker-trip: 10 invariants hold",
+		"[ok  ] chaos scenario panic-isolation: 10 invariants hold",
+		"[ok  ] chaos scenario restart-recovery: 7 invariants hold",
+		"[ok  ] chaos scenario disk-fault: 9 invariants hold",
 		"[ok  ] drained",
 	} {
 		if !strings.Contains(stdout.String(), want) {
@@ -54,25 +55,15 @@ func TestSelfcheckWritesAccessLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	// The selfcheck issues two clean scheduling requests (miss then hit),
-	// then the fault-injection leg replays the same body; every replay that
-	// reaches the engine is a cache hit. Faults that stop a request before
-	// the engine (rejects, drops) leave no request_done line. The panic leg
-	// adds exactly one status-500 record — panic-recovered requests must land
-	// in the access log like any other outcome — plus one more cache hit.
-	if len(lines) < 4 {
-		t.Fatalf("%d access-log lines, want at least 4 (clean miss + hits + panic 500):\n%s", len(lines), data)
+	// The selfcheck issues three scheduling requests for the pinned body
+	// (miss, then two cache hits) and three batch posts; the chaos scenarios
+	// run on servers of their own and never reach this log. Panic-500
+	// records are pinned by internal/serve's TestPanicIsolation.
+	if len(lines) != 6 {
+		t.Fatalf("%d access-log lines, want 6 (3 iterate + 3 batch):\n%s", len(lines), data)
 	}
-	// The sink also records the panic leg's panic_recovered event; keep only
-	// request_done records for the per-request assertions below.
-	recovered := 0
 	batches := 0
-	var done []string
 	for _, line := range lines {
-		if strings.Contains(line, `"event":"panic_recovered"`) {
-			recovered++
-			continue
-		}
 		if !strings.Contains(line, `"event":"request_done"`) {
 			t.Fatalf("unexpected access-log line: %s", line)
 		}
@@ -91,18 +82,14 @@ func TestSelfcheckWritesAccessLog(t *testing.T) {
 		if !strings.Contains(line, `"trace_id":"`) {
 			t.Fatalf("request_done line lacks a trace_id: %s", line)
 		}
-		done = append(done, line)
 	}
 	if batches != 3 {
 		t.Fatalf("%d /v1/batch request_done lines, want exactly 3 (mixed batch + identical replay pair):\n%s", batches, data)
 	}
-	if recovered != 1 {
-		t.Fatalf("%d panic_recovered lines, want exactly 1:\n%s", recovered, data)
-	}
 	// Every request gets its own trace: IDs never repeat, even though the
-	// replays share one canonical request key (the sequence half differs).
+	// repeats share one canonical request key (the sequence half differs).
 	ids := map[string]bool{}
-	for _, line := range done {
+	for _, line := range lines {
 		_, rest, _ := strings.Cut(line, `"trace_id":"`)
 		id, _, _ := strings.Cut(rest, `"`)
 		if ids[id] {
@@ -110,19 +97,10 @@ func TestSelfcheckWritesAccessLog(t *testing.T) {
 		}
 		ids[id] = true
 	}
-	lines = done
 	if !strings.Contains(lines[0], `"cache":"miss"`) {
 		t.Fatalf("first access-log line should be the computed miss:\n%s", data)
 	}
-	panicLines := 0
 	for _, line := range lines[1:] {
-		if strings.Contains(line, `"status":500`) {
-			panicLines++
-			if strings.Contains(line, `"cache"`) {
-				t.Fatalf("panic-recovered record claims a cache state: %s", line)
-			}
-			continue
-		}
 		if strings.Contains(line, `"endpoint":"/v1/batch"`) {
 			// Batch cache state is per-item inside the envelope; the
 			// request-level record carries none unless the whole envelope
@@ -130,17 +108,14 @@ func TestSelfcheckWritesAccessLog(t *testing.T) {
 			continue
 		}
 		if !strings.Contains(line, `"cache":"hit"`) {
-			t.Fatalf("every non-panic line after the first should be a cache hit: %s", line)
+			t.Fatalf("every iterate line after the first should be a cache hit: %s", line)
 		}
-	}
-	if panicLines != 1 {
-		t.Fatalf("%d status-500 access-log lines, want exactly 1 (the panic leg):\n%s", panicLines, data)
 	}
 }
 
 // TestFaultInjectFlagValidation pins -fault-inject's fail-fast contract: a
 // typo'd spec is an error before any listener opens, and combining it with
-// -selfcheck (which runs its own pinned fault leg) is refused.
+// -selfcheck (which replays its own fault scenarios) is refused.
 func TestFaultInjectFlagValidation(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-fault-inject", "reject=2.0:503"}, &stdout, &stderr)

@@ -269,9 +269,9 @@ func serveForever(gw *cluster.Gateway, addr string, drainTimeout time.Duration, 
 // machine-checks the subsystem's invariants end to end over real HTTP:
 // aggregated health, pinned Table-1 cluster-vs-singleton byte identity with
 // stable warm-cache routing, batch split/merge with an isolated per-item
-// 422, kill → failover → revive → rejoin with identical bytes throughout,
-// the gateway trace stages, statusz aggregation, one cluster chaos
-// scenario, and a graceful drain. Only [ok  ] lines are printed.
+// 422, the gateway trace stages, statusz aggregation, the backend-rejoin
+// cluster chaos scenario (kill → failover → revive → rejoin with identical
+// bytes throughout), and a graceful drain. Only [ok  ] lines are printed.
 func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
 	// Reference single instance: the source of every golden byte.
 	ref := serve.NewServer(serve.Options{})
@@ -389,43 +389,12 @@ func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
 		return err
 	}
 
-	// Leg 4: kill → failover → revive → rejoin.
-	key, ok := serve.CanonicalKey("/v1/iterate", reqBody)
-	if !ok {
-		return fmt.Errorf("pinned body has no canonical key")
-	}
-	rank := gw.Router().Rank(key)
-	var ownerIdx int
-	fmt.Sscanf(rank[0], "backend-%d", &ownerIdx)
-	local.Kill(ownerIdx)
-	failed, failedCache, err := post(base+"/v1/iterate", reqBody)
-	if err != nil {
-		return fmt.Errorf("failover request: %w", err)
-	}
-	if !bytes.Equal(failed, golden) {
-		return fmt.Errorf("failed-over response differs from the single instance")
-	}
-	if failedCache != "miss" {
-		return fmt.Errorf("failover X-Schedd-Cache %q, want miss (the failover backend computes cold)", failedCache)
-	}
-	if err := local.Revive(ownerIdx); err != nil {
-		return err
-	}
-	revived, revivedCache, err := post(base+"/v1/iterate", reqBody)
-	if err != nil {
-		return fmt.Errorf("post-revive request: %w", err)
-	}
-	if !bytes.Equal(revived, golden) || revivedCache != "hit" {
-		return fmt.Errorf("post-revive cache %q bytes-equal %v, want hit on the rejoined owner's warm cache", revivedCache, bytes.Equal(revived, golden))
-	}
-	fmt.Fprintf(stdout, "[ok  ] kill %s: failover computes identical bytes; revive: key returns to the owner's warm cache\n", rank[0])
-
-	// Leg 5: the gateway trace stages.
+	// Leg 4: the gateway trace stages.
 	if err := traceLeg(spanCol, stdout); err != nil {
 		return err
 	}
 
-	// Leg 6: statusz aggregation — breaker states, routed counts,
+	// Leg 5: statusz aggregation — breaker states, routed counts,
 	// conservation.
 	var st struct {
 		Status        string `json:"status"`
@@ -433,7 +402,6 @@ func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
 		Responses2xx  int64  `json:"responses_2xx"`
 		Responses4xx  int64  `json:"responses_4xx"`
 		Responses5xx  int64  `json:"responses_5xx"`
-		Failovers     int64  `json:"failovers"`
 		Backends      []struct {
 			Name    string `json:"name"`
 			Health  string `json:"health"`
@@ -461,31 +429,24 @@ func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
 		return fmt.Errorf("statusz: outcome conservation failed: %d requests, %d+%d+%d outcomes",
 			st.RequestsTotal, st.Responses2xx, st.Responses4xx, st.Responses5xx)
 	}
-	if st.Failovers < 1 {
-		return fmt.Errorf("statusz: failovers %d, want >= 1 (the kill leg failed over)", st.Failovers)
-	}
-	fmt.Fprintf(stdout, "[ok  ] statusz aggregates 3 closed breakers, %d routed posts, conserved outcomes, %d failover(s)\n", routed, st.Failovers)
+	fmt.Fprintf(stdout, "[ok  ] statusz aggregates 3 closed breakers, %d routed posts, conserved outcomes\n", routed)
 
-	// Leg 7: one cluster chaos scenario, every invariant machine-checked.
+	// Leg 6: one cluster chaos scenario, every invariant machine-checked —
+	// backend-rejoin also carries kill → failover → revive → rejoin.
 	sc, err := chaos.ClusterByName("backend-rejoin")
 	if err != nil {
 		return err
 	}
 	rep, err := chaos.RunCluster(sc)
+	if err == nil {
+		err = rep.Err()
+	}
 	if err != nil {
 		return fmt.Errorf("cluster chaos leg: %w", err)
 	}
-	if !rep.Pass {
-		for _, inv := range rep.Invariants {
-			if !inv.OK {
-				return fmt.Errorf("cluster chaos leg: invariant %s violated: %s", inv.Name, inv.Detail)
-			}
-		}
-		return fmt.Errorf("cluster chaos leg: scenario %s failed", rep.Scenario)
-	}
 	fmt.Fprintf(stdout, "[ok  ] cluster chaos scenario %s: %d invariants hold\n", rep.Scenario, len(rep.Invariants))
 
-	// Leg 8: drain.
+	// Leg 7: drain.
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil {
@@ -568,7 +529,7 @@ func batchLeg(base, refBase string, stdout io.Writer) error {
 func traceLeg(spanCol *obs.Collector, stdout io.Writer) error {
 	// Spans are emitted as the handler epilogue runs, which can trail the
 	// response bytes by a scheduler beat; the spans themselves are
-	// deterministic, only their arrival needs a grace period. Five posts
+	// deterministic, only their arrival needs a grace period. Three posts
 	// have gone through the gateway by this leg.
 	var all []obs.Span
 	deadline := time.Now().Add(5 * time.Second)
@@ -579,7 +540,7 @@ func traceLeg(spanCol *obs.Collector, stdout io.Writer) error {
 				all = append(all, sp)
 			}
 		}
-		if roots := countRoots(all); roots >= 5 || time.Now().After(deadline) {
+		if roots := countRoots(all); roots >= 3 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -22,6 +22,6 @@ func ExampleRunChaos() {
 		rep.Scenario, rep.Pass, len(rep.Invariants), rep.Recovered)
 	fmt.Println("first transition:", rep.BreakerTransitions[0])
 	// Output:
-	// breaker-trip: pass=true invariants=9 recovered=2
+	// breaker-trip: pass=true invariants=10 recovered=2
 	// first transition: closed->open
 }

@@ -6,7 +6,8 @@
 // fault-free golden; serve's metrics conserve (requests_total equals the sum
 // of per-outcome counters); queue depth and in-flight return to zero; the
 // goroutine count returns to its pre-scenario baseline; the circuit
-// breaker only ever takes legal state-machine transitions; and spans
+// breaker only ever takes legal state-machine transitions; every configured
+// fault kind actually fires; panics are accounted exactly; and spans
 // conserve (exactly one well-formed span tree per request on each side,
 // even for rejected, faulted or panicking requests).
 //
@@ -163,6 +164,28 @@ type Report struct {
 	Panics     int64             `json:"panics"`
 	Invariants []InvariantResult `json:"invariants"`
 	Pass       bool              `json:"pass"`
+}
+
+// settle marks the report passed iff every invariant holds.
+func (r *Report) settle() {
+	r.Pass = true
+	for _, inv := range r.Invariants {
+		r.Pass = r.Pass && inv.OK
+	}
+}
+
+// Err returns nil when the report passed, else an error naming the first
+// violated invariant and its detail.
+func (r *Report) Err() error {
+	if r.Pass {
+		return nil
+	}
+	for _, inv := range r.Invariants {
+		if !inv.OK {
+			return fmt.Errorf("scenario %s: invariant %s violated: %s", r.Scenario, inv.Name, inv.Detail)
+		}
+	}
+	return fmt.Errorf("scenario %s failed", r.Scenario)
 }
 
 // JSON renders the report as indented JSON with a trailing newline.
@@ -358,6 +381,7 @@ func Run(sc Scenario) (*Report, error) {
 		}
 	}
 
+	var specs []faults.Spec // one per faulted phase, for the faults_exercised invariant
 	panicsScheduled := 0
 	postCalls := 0 // resilient-client Posts: each must yield exactly one client root span
 	next := 0      // workload cursor: distinct bodies cycle across phases
@@ -370,6 +394,7 @@ func Run(sc Scenario) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("chaos: phase %d (%s): %w", pi, ph.Name, err)
 			}
+			specs = append(specs, spec)
 			store(faults.New(spec, srv.Handler(), reg))
 		} else {
 			store(srv.Handler())
@@ -513,8 +538,8 @@ func Run(sc Scenario) (*Report, error) {
 		fmt.Sprintf("queue_depth=%g inflight=%g", gauges["serve.queue_depth"], gauges["serve.inflight"]))
 	check("recovery", rep.Recovered == sc.Distinct,
 		fmt.Sprintf("%d of %d fault-free replays byte-identical", rep.Recovered, sc.Distinct))
-	check("panics_accounted", (rep.Panics > 0) == (panicsScheduled > 0),
-		fmt.Sprintf("serve.panics_total=%d for %d scheduled panic requests", rep.Panics, panicsScheduled))
+	check(panicsAccounted(rep.Panics, collector.Events(), panicsScheduled))
+	check(faultsExercised(specs, sc.MaxRetries, counters))
 	check("breaker_legal", breakerLegal(rep.BreakerTransitions),
 		fmt.Sprintf("%d transitions: %s", len(rep.BreakerTransitions), strings.Join(rep.BreakerTransitions, " ")))
 	// Span conservation: exactly one well-formed span tree per request on
@@ -561,13 +586,68 @@ func Run(sc Scenario) (*Report, error) {
 	}
 	check("goroutines", !leaked, goroutineDetail)
 
-	rep.Pass = true
-	for _, inv := range rep.Invariants {
-		if !inv.OK {
-			rep.Pass = false
+	rep.settle()
+	return rep, nil
+}
+
+// panicsAccounted is the panics_accounted invariant: serve.panics_total,
+// the panic_recovered events and the status-500 request_done events must
+// all agree exactly, and be non-zero exactly when the scenario scheduled
+// panics. The client retries 500s, so one scheduled panic request can
+// account for several panics; the three server-side tallies never drift
+// apart.
+func panicsAccounted(panics int64, events []obs.Event, scheduled int) (string, bool, string) {
+	var recovered, done500 int64
+	for _, e := range events {
+		switch ev := e.(type) {
+		case obs.PanicRecovered:
+			recovered++
+		case obs.RequestDone:
+			if ev.Status == http.StatusInternalServerError {
+				done500++
+			}
 		}
 	}
-	return rep, nil
+	ok := panics == recovered && panics == done500 && (panics > 0) == (scheduled > 0)
+	return "panics_accounted", ok, fmt.Sprintf("serve.panics_total=%d, %d panic_recovered events, %d status-500 request_done events for %d scheduled panic requests",
+		panics, recovered, done500, scheduled)
+}
+
+// faultsExercised is the faults_exercised invariant: every fault kind any
+// phase configures must have fired at least once, and when a configured
+// kind fails attempts outright (reject, drop, truncate) and the client may
+// retry, the client must have retried. A storm whose faults never fire
+// would otherwise pass every other invariant vacuously.
+func faultsExercised(specs []faults.Spec, maxRetries int, counters map[string]int64) (string, bool, string) {
+	// configured[i] is whether any phase sets kind i; every kind but
+	// latency fails the attempt it hits.
+	kinds := [...]string{"latency", "reject", "drop", "truncate"}
+	var configured [len(kinds)]bool
+	for _, s := range specs {
+		for i, p := range [...]float64{s.LatencyP, s.RejectP, s.DropP, s.TruncateP} {
+			configured[i] = configured[i] || p > 0
+		}
+	}
+	ok, failing := true, false
+	var fired []string
+	for i, kind := range kinds {
+		if !configured[i] {
+			continue
+		}
+		failing = failing || i > 0
+		n := counters["faults."+kind+"_total"]
+		ok = ok && n > 0
+		fired = append(fired, fmt.Sprintf("%s=%d", kind, n))
+	}
+	if len(fired) == 0 {
+		return "faults_exercised", true, "no phase configures faults"
+	}
+	retries := counters["client.retries_total"]
+	if failing && maxRetries >= 0 {
+		ok = ok && retries > 0
+	}
+	return "faults_exercised", ok, fmt.Sprintf("configured faults fired %s; client.retries_total=%d",
+		strings.Join(fired, " "), retries)
 }
 
 // tallyBatchItems checks one 200 batch envelope: every item must be a 200
@@ -709,7 +789,9 @@ func Builtin() []Scenario {
 			Heuristic: "min-min", MaxRetries: 8,
 			Phases: []Phase{
 				{Name: "healthy", Requests: 12},
-				{Name: "latency-drop", Requests: 12, Faults: "latency=0.3:1ms,drop=0.25"},
+				// 24 requests, not 12: under seed 7 a 12-request phase draws
+				// no drop at all, which faults_exercised rejects.
+				{Name: "latency-drop", Requests: 24, Faults: "latency=0.3:1ms,drop=0.25"},
 				{Name: "reject-burst", Requests: 12, Faults: "reject=0.5:503:1"},
 				{Name: "calm", Requests: 12},
 			},

@@ -3,8 +3,12 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // TestBuiltinScenariosPass replays every stock scenario and requires a
@@ -117,6 +121,28 @@ func TestFaultProbabilityChangesReport(t *testing.T) {
 	}
 }
 
+// TestFaultStormsRecoverEveryRequest pins that injected rejects, drops and
+// truncations cost the resilient client retries, never a request: in the
+// storm and truncate-flood scenarios every request of every phase comes
+// back 200 and byte-identical to its golden.
+func TestFaultStormsRecoverEveryRequest(t *testing.T) {
+	for _, name := range []string{"storm", "truncate-flood"} {
+		sc, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range rep.Phases {
+			if ph.OK != ph.Requests {
+				t.Errorf("%s phase %s: %d of %d requests recovered byte-identical: %+v", name, ph.Name, ph.OK, ph.Requests, ph)
+			}
+		}
+	}
+}
+
 // TestBreakerTripScenarioObservesTransitions pins that the breaker-trip
 // scenario actually exercises the breaker (a scenario that never trips it
 // would vacuously pass breaker_legal).
@@ -165,6 +191,101 @@ func TestPanicScenarioAccountsPanics(t *testing.T) {
 	}
 	if !rep.Pass {
 		t.Fatal("panic-isolation should pass")
+	}
+}
+
+// invariant returns the named invariant of a report.
+func invariant(t *testing.T, rep *Report, name string) InvariantResult {
+	t.Helper()
+	for _, inv := range rep.Invariants {
+		if inv.Name == name {
+			return inv
+		}
+	}
+	t.Fatalf("report lacks the %s invariant", name)
+	return InvariantResult{}
+}
+
+// TestFaultsExercisedCatchesSilentFaults is the mutation check for
+// faults_exercised: a storm whose configured faults never fire must fail,
+// not pass vacuously.
+func TestFaultsExercisedCatchesSilentFaults(t *testing.T) {
+	// End to end: the latency-drop phase keeps its drop fault configured,
+	// at a probability too small to fire in 24 requests.
+	sc, err := ByName("storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Phases[1].Faults = "latency=0.3:1ms,drop=0.000001"
+	rep, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inv := invariant(t, rep, "faults_exercised"); inv.OK || !strings.Contains(inv.Detail, "drop=0") {
+		t.Fatalf("faults_exercised = %+v, want a violation naming drop=0", inv)
+	}
+	if err := rep.Err(); rep.Pass || err == nil || !strings.Contains(err.Error(), "faults_exercised") {
+		t.Fatalf("Pass=%v Err=%v, want a failed report naming faults_exercised", rep.Pass, err)
+	}
+
+	// Unit level: the storm's specs against counters from a run in which
+	// the latency-drop phase's injector was removed, or no retry was taken.
+	var specs []faults.Spec
+	for _, ph := range Builtin()[0].Phases {
+		if ph.Faults != "" {
+			spec, err := faults.Parse(ph.Faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs = append(specs, spec)
+		}
+	}
+	fired := map[string]int64{"faults.latency_total": 12, "faults.reject_total": 9, "faults.drop_total": 5, "client.retries_total": 14}
+	if _, ok, detail := faultsExercised(specs, 8, fired); !ok {
+		t.Fatalf("every kind fired, yet violated: %s", detail)
+	}
+	noPhase := map[string]int64{"faults.reject_total": 9, "client.retries_total": 9}
+	if _, ok, _ := faultsExercised(specs, 8, noPhase); ok {
+		t.Fatal("latency and drop never fired, yet faults_exercised holds")
+	}
+	noRetry := map[string]int64{"faults.latency_total": 12, "faults.reject_total": 9, "faults.drop_total": 5}
+	if _, ok, _ := faultsExercised(specs, 8, noRetry); ok {
+		t.Fatal("failing faults fired without a client retry, yet faults_exercised holds")
+	}
+	if _, ok, _ := faultsExercised(specs, -1, noRetry); !ok {
+		t.Fatal("a client with retries disabled cannot retry; faults_exercised must not demand it")
+	}
+	if _, ok, _ := faultsExercised(nil, 8, nil); !ok {
+		t.Fatal("a fault-free scenario violates faults_exercised")
+	}
+}
+
+// TestPanicsAccountedExact is the mutation check for panics_accounted: the
+// panic counter, the panic_recovered events and the status-500 request_done
+// events must agree exactly, and be non-zero exactly when panics were
+// scheduled.
+func TestPanicsAccountedExact(t *testing.T) {
+	recovered := obs.PanicRecovered{Endpoint: "/v1/iterate"}
+	done500 := obs.RequestDone{Endpoint: "/v1/iterate", Status: http.StatusInternalServerError}
+	done200 := obs.RequestDone{Endpoint: "/v1/iterate", Status: http.StatusOK}
+	for _, tc := range []struct {
+		name      string
+		panics    int64
+		events    []obs.Event
+		scheduled int
+		want      bool
+	}{
+		{"retried panic counts twice", 2, []obs.Event{recovered, done500, recovered, done500, done200}, 1, true},
+		{"no panics", 0, []obs.Event{done200}, 0, true},
+		{"panic events dropped", 2, []obs.Event{done500, done500, done200}, 1, false},
+		{"500 records dropped", 2, []obs.Event{recovered, recovered, done200}, 1, false},
+		{"counter drifts", 1, []obs.Event{recovered, done500, recovered, done500}, 1, false},
+		{"scheduled but none fired", 0, []obs.Event{done200}, 1, false},
+		{"fired but none scheduled", 1, []obs.Event{recovered, done500}, 0, false},
+	} {
+		if _, ok, detail := panicsAccounted(tc.panics, tc.events, tc.scheduled); ok != tc.want {
+			t.Errorf("%s: ok=%v, want %v (%s)", tc.name, ok, tc.want, detail)
+		}
 	}
 }
 

@@ -442,12 +442,7 @@ func RunCluster(sc ClusterScenario) (*Report, error) {
 	}
 	check("goroutines", !leaked, goroutineDetail)
 
-	rep.Pass = true
-	for _, inv := range rep.Invariants {
-		if !inv.OK {
-			rep.Pass = false
-		}
-	}
+	rep.settle()
 	return rep, nil
 }
 

@@ -250,12 +250,7 @@ func (d *diskRun) finish() *Report {
 	}
 	d.check("goroutines", !leaked, goroutineDetail)
 
-	d.rep.Pass = true
-	for _, inv := range d.rep.Invariants {
-		if !inv.OK {
-			d.rep.Pass = false
-		}
-	}
+	d.rep.settle()
 	return d.rep
 }
 

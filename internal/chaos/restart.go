@@ -257,12 +257,7 @@ func RunRestart(sc RestartScenario) (*Report, error) {
 	}
 	check("goroutines", !leaked, goroutineDetail)
 
-	rep.Pass = true
-	for _, inv := range rep.Invariants {
-		if !inv.OK {
-			rep.Pass = false
-		}
-	}
+	rep.settle()
 	return rep, nil
 }
 

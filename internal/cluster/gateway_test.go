@@ -221,8 +221,8 @@ func TestGatewayBatchMirrorsSingleton(t *testing.T) {
 // request must land on the key's first failover with identical bytes, and
 // after a revive the key must return to its owner.
 func TestGatewayFailover(t *testing.T) {
-	col := &obs.Collector{}
-	local, g, _ := startCluster(t, 3, Options{Observer: col})
+	col, spans := &obs.Collector{}, &obs.Collector{}
+	local, g, _ := startCluster(t, 3, Options{Observer: col, Tracer: obs.NewTracer(spans)})
 
 	body := iterBody(11)
 	key, ok := serve.CanonicalKey("/v1/iterate", []byte(body))
@@ -245,6 +245,29 @@ func TestGatewayFailover(t *testing.T) {
 	}
 	if failed.Body.String() != baseline.Body.String() {
 		t.Fatalf("failover response differs from baseline:\n got %q\nwant %q", failed.Body.String(), baseline.Body.String())
+	}
+	if c := failed.Header().Get("X-Schedd-Cache"); c != "miss" {
+		t.Fatalf("failover cache %q, want miss (the failover backend computes cold)", c)
+	}
+	// One backend_wait span per backend tried: the dead owner, then the
+	// failover target.
+	waits := 0
+	for _, e := range spans.Events() {
+		if sp, ok := e.(obs.Span); ok && sp.Name == "backend_wait" && sp.TraceID == failed.Header().Get(serve.TraceHeader) {
+			waits++
+		}
+	}
+	if waits != 2 {
+		t.Fatalf("failover trace has %d backend_wait spans, want 2", waits)
+	}
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statusz", nil))
+	var st gwStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("statusz: %v\n%s", err, rec.Body.String())
+	}
+	if st.Failovers != 1 {
+		t.Fatalf("statusz failovers = %d after one failover, want 1", st.Failovers)
 	}
 	events := col.Events()
 	last, ok := events[len(events)-2].(obs.GatewayRoute) // route precedes RequestDone

@@ -102,6 +102,28 @@ func TestTraceSpanTreePerRequest(t *testing.T) {
 	if len(logged) != 2 || logged[0] != idMiss || logged[1] != idHit {
 		t.Fatalf("access-log trace IDs %v, want [%s %s]", logged, idMiss, idHit)
 	}
+
+	// Store-backed: a miss consults the disk tier before it computes, and
+	// once the body is written behind, a disk hit carries disk_lookup and
+	// no compute. The LRU is off so the repeat reaches the disk tier.
+	st := openStore(t, t.TempDir())
+	ds, dspans, _ := tracedServer(Options{Store: st, CacheEntries: -1})
+	defer func() {
+		drain(t, ds)
+		st.Close()
+	}()
+	recMiss = post(ds, "/v1/iterate", iterateBody("min-min", "det", 1))
+	waitFor(t, "write-behind flush", func() bool { return st.Len() == 1 })
+	recDisk := post(ds, "/v1/iterate", iterateBody("min-min", "det", 1))
+	if c := recDisk.Header().Get("X-Schedd-Cache"); recMiss.Code != http.StatusOK || c != "disk" {
+		t.Fatalf("store-backed statuses %d, %d; repeat cache %q, want disk", recMiss.Code, recDisk.Code, c)
+	}
+	if names := stageNames(spansFor(dspans, recMiss.Header().Get(TraceHeader))); !names["disk_lookup"] || !names["compute"] {
+		t.Fatalf("store-backed miss stages %v, want disk_lookup and compute", names)
+	}
+	if names := stageNames(spansFor(dspans, recDisk.Header().Get(TraceHeader))); !names["disk_lookup"] || names["compute"] {
+		t.Fatalf("disk hit stages %v, want disk_lookup and no compute", names)
+	}
 }
 
 func toSpans(col *obs.Collector) []obs.Span {

@@ -4,11 +4,12 @@
 #
 #   gofmt clean, go vet, build, full test suite, fault-spec fuzz runs,
 #   paper self-check, the schedd serving smoke (ephemeral port, pinned
-#   Table-1 trace, cache byte-identity, span-tree trace leg,
-#   fault-injected recovery, panic isolation, chaos leg, kill/restart
-#   disk-tier recovery, graceful drain), the schedgw cluster smoke (3
-#   local backends, cluster-vs-singleton byte-identity, batch
-#   split/merge, kill/failover/revive, cluster chaos, drain), the
+#   Table-1 trace, cache byte-identity, span-tree trace leg, batch leg,
+#   the storm, truncate-flood, breaker-trip, panic-isolation,
+#   restart-recovery and disk-fault chaos scenarios in-process, graceful
+#   drain), the schedgw cluster smoke (3 local backends,
+#   cluster-vs-singleton byte-identity, batch split/merge, traces,
+#   statusz, the backend-rejoin cluster chaos scenario, drain), the
 #   schedchaos scenario sweep (every builtin phased fault scenario —
 #   single-instance, cluster, restart-recovery and the disk-tier
 #   fault/full arcs — every invariant) and the tracing legs
@@ -73,20 +74,11 @@ go run ./cmd/schedtrace -counts "$tmp/gwspans.jsonl" >"$tmp/gateway_trace_counts
 diff -u scripts/testdata/gateway_trace_counts.golden "$tmp/gateway_trace_counts.txt"
 echo "[ok  ] schedgw -trace-out span stream matches the schedtrace golden"
 
+# Every builtin scenario with its pinned seed; exits non-zero on any
+# violated invariant. Among them: restart-recovery (the crash-safe disk
+# tier's kill -> torn tail -> restart -> byte-identical disk-hit path),
+# disk-fault (a seeded I/O fault storm stays client-invisible while the
+# health machine degrades and probes its way back to healthy) and
+# disk-full (ENOSPC pins the tier read-only with exact drop accounting).
 go run ./cmd/schedchaos >/dev/null
 echo "[ok  ] schedchaos scenarios (single-instance + cluster + restart + disk)"
-
-# The restart-recovery scenario again, alone: the crash-safe disk tier's
-# kill → torn tail → restart → byte-identical disk-hit path is the gate's
-# explicit restart leg, not just one line of the sweep above.
-go run ./cmd/schedchaos -scenario restart-recovery >/dev/null
-echo "[ok  ] restart-recovery: disk tier survives kill/restart byte-identically"
-
-# The disk-tier degradation arcs, alone and explicitly: a seeded I/O fault
-# storm (disk-fault) and an exact-accounting ENOSPC arc (disk-full) must
-# both keep every response byte-identical to a fault-free singleton while
-# the health machine degrades and probes its way back to healthy.
-go run ./cmd/schedchaos -scenario disk-fault >/dev/null
-echo "[ok  ] disk-fault: fault-storm degradation stays client-invisible, tier recovers"
-go run ./cmd/schedchaos -scenario disk-full >/dev/null
-echo "[ok  ] disk-full: ENOSPC pins the tier read-only with exact drop accounting"
